@@ -57,10 +57,11 @@ SPEEDUP_FLOORS = {
     # FAULT events bound the jump horizon, so the chaos scenario proves the
     # fast path still fuses aggressively between fault edges.
     "fig14_failure_recovery": 2.0,
-    # Spawned follow-up turns bound the jump horizon exactly like retries —
-    # every completion schedules a future arrival the fast path must not fuse
-    # past — so the session fleet fuses less than the open-loop scenarios.
-    "fig15_session_affinity": 2.0,
+    # Closed-loop session fleet: each jump is bounded by the other replicas'
+    # earliest possible spawned turn (earliest completion + minimum think
+    # time), not by their clocks, so it fuses about as much as the open-loop
+    # scenarios; the floor guards that lookahead.
+    "fig15_session_affinity": 5.0,
 }
 
 #: A scenario may not regress more than this factor against the committed

@@ -294,6 +294,9 @@ class InferenceEngine:
         #          min_remaining).
         self._batch_epoch = 0
         self._silent_cache: tuple[int, int, int, int, int] | None = None
+        # Memo of :meth:`earliest_finish_time`:
+        # (epoch, cost model, step counter, window end or None).
+        self._finish_bound: tuple[int, CostModel, int, float | None] | None = None
         self.scheduler.on_run_start()
 
     # ------------------------------------------------------------------ state
@@ -321,6 +324,7 @@ class InferenceEngine:
         if request.state is not RequestState.QUEUED:
             raise ValueError("only queued requests can be submitted")
         self.waiting.append(request)
+        self._finish_bound = None
         self.scheduler.on_request_submitted(request)
         if self._tracing:
             self.tracer.emit(
@@ -871,6 +875,51 @@ class InferenceEngine:
         if self.waiting:
             return 0
         return self._uniform_decode_bound()
+
+    def earliest_finish_time(self, time: float) -> float:
+        """Lower bound on when this engine can next finish a request.
+
+        ``time`` is the engine's clock (the start of its next iteration).
+        The bound assumes no new work is submitted before it; closed-loop
+        fleets use it as a replica's lookahead, bounding the jump horizon
+        of every *other* replica (see ``docs/simulation-semantics.md``).
+
+        A waiting request may be admitted by the next iteration and a
+        prefilling resident may deliver its first (and last) token, so
+        either case falls back to ``time``.  Otherwise the next
+        :meth:`_uniform_decode_bound` iterations provably finish nothing,
+        and the bound is the end of the last of them — the same float chain
+        :meth:`_execute_jump` would produce from ``time``.
+
+        The value is memoized per batch epoch and cost model: silent steps
+        and jumps leave the window's end where it was, so it survives them,
+        while admissions, finishes, evictions, submits and cost-model swaps
+        invalidate it.  A bound the clock has already passed is recomputed
+        after the next iteration.
+        """
+        if self.waiting:
+            return time
+        memo = self._finish_bound
+        if (
+            memo is None
+            or memo[0] != self._batch_epoch
+            or memo[1] is not self.cost_model
+            or ((memo[3] is None or memo[3] < time) and memo[2] != self._step_counter)
+        ):
+            end = None
+            steps = self._uniform_decode_bound()
+            if steps > 0:
+                cache = self._silent_cache
+                durations = self.cost_model.decode_step_durations(cache[1], cache[2], steps)
+                end = float(np.cumsum(np.concatenate(((time,), durations)))[-1])
+            memo = self._finish_bound = (
+                self._batch_epoch,
+                self.cost_model,
+                self._step_counter,
+                end,
+            )
+        end = memo[3]
+        return time if end is None or end < time else end
 
     def try_jump(
         self,

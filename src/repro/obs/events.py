@@ -46,7 +46,8 @@ REQUEST_THROTTLED = "request.throttled"
 #: (load_fraction, headroom_fraction, saturated).
 REQUEST_ROUTED = "request.routed"
 
-#: A router (or the cluster saturation knob) rejected the request.
+#: A router (or the cluster saturation knob, or the capacity check that turns
+#: away a prompt no replica can hold) rejected the request.
 #: attrs: reason, candidates.
 REQUEST_REJECTED = "request.rejected"
 

@@ -59,6 +59,11 @@ class ClosedLoopClientPool:
         """Requests currently submitted but not yet finished."""
         return self._in_flight
 
+    @property
+    def min_reaction_delay(self) -> float:
+        """Smallest completion-to-arrival delay: every client thinks this long."""
+        return self._think_time
+
     def _next_spec(self) -> RequestSpec | None:
         try:
             return next(self._specs)

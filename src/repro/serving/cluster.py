@@ -94,6 +94,7 @@ from repro.serving.faults import (
 )
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import (
+    REASON_EXCEEDS_CAPACITY,
     REASON_SATURATED,
     ReplicaView,
     Router,
@@ -376,7 +377,7 @@ class ClusterSimulator:
         self._deferred_heap: list[_DeferredArrival] = []
         self._defer_sequence = 0
         self._deferred_releases = 0
-        self._throttle_releases = 0
+        self._immediate_releases = 0
         self._consumed = False
         # Fault injection (see repro.serving.faults).  With faults=None every
         # code path below is byte-identical to the pre-fault simulator: no
@@ -871,8 +872,14 @@ class ClusterSimulator:
         arrived_at: float,
         reason: str,
         candidates: int = 0,
+        release_now: bool = False,
     ) -> None:
-        """Record one rejected request under ``reason`` and release its slot."""
+        """Record one rejected request under ``reason`` and release its slot.
+
+        ``release_now`` frees the client slot at this instant instead of
+        after the fleet's next iteration; only safe for rejections that do
+        not depend on any replica's load, which cannot cascade.
+        """
         self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
         self.reject_reasons[reason] += 1
         if self._tracing:
@@ -888,12 +895,34 @@ class ClusterSimulator:
             # follow-up: the session ends here, abandoned.
             emit_session_abandoned(self.tracer, spec, now)
         # The client's slot must be released or a closed-loop pool would
-        # deadlock — but not at this same instant: views only change when
-        # a replica steps, so an immediate release would re-inject (and
-        # re-reject) the client's next request in a zero-time cascade.
-        # Release it after the next completed iteration, when the fleet
-        # has actually made progress.
-        self._deferred_releases += 1
+        # deadlock — but a state-dependent reject must not release it at
+        # this same instant: views only change when a replica steps, so an
+        # immediate release would re-inject (and re-reject) the client's
+        # next request in a zero-time cascade.  Release it after the next
+        # completed iteration, when the fleet has actually made progress.
+        if release_now:
+            self._immediate_releases += 1
+        else:
+            self._deferred_releases += 1
+
+    def _defer_until_ready(self, spec: RequestSpec, arrived_at: float, warming: list[_Replica]) -> None:
+        """Retry an arrival when the first of ``warming`` becomes routable.
+
+        Warm-up completions outrank arrivals and retries at equal times, so
+        a warming replica seen here always has ``ready_at`` strictly in the
+        future.
+        """
+        heapq.heappush(
+            self._deferred_heap,
+            _DeferredArrival(
+                retry_at=min(r.ready_at for r in warming),
+                sequence=self._defer_sequence,
+                spec=spec,
+                arrived_at=arrived_at,
+            ),
+        )
+        self._defer_sequence += 1
+
     def _route_arrival(
         self,
         spec: RequestSpec,
@@ -945,7 +974,7 @@ class ClusterSimulator:
                 # admitted, so a same-instant follow-up either fits the
                 # window or is itself throttled — and the workload is finite.
                 # Drained by the caller (the arrival loop owns the generator).
-                self._throttle_releases += 1
+                self._immediate_releases += 1
                 return
         if self._fault_injector is not None:
             # Transient routing errors: a deterministic per-(request, attempt)
@@ -970,21 +999,37 @@ class ClusterSimulator:
             # any is coming, otherwise reject with a typed reason.
             warming = [r for r in self.replicas if r.state is ReplicaState.WARMING]
             if warming:
-                # Warm-up completions outrank arrivals/retries at equal
-                # times, so a warming replica seen here always has
-                # ready_at strictly in the future.
-                heapq.heappush(
-                    self._deferred_heap,
-                    _DeferredArrival(
-                        retry_at=min(r.ready_at for r in warming),
-                        sequence=self._defer_sequence,
-                        spec=spec,
-                        arrived_at=arrived_at,
-                    ),
-                )
-                self._defer_sequence += 1
+                self._defer_until_ready(spec, arrived_at, warming)
                 return
             self._reject_spec(spec, now, arrived_at, REASON_NO_REPLICAS)
+            return
+        need = spec.prompt_tokens + 1
+        if all(need > replica.engine.pool.token_capacity for replica in routable.values()):
+            # No routable replica could ever admit this prompt; placing it
+            # would stall that replica's queue forever.  If a warming replica
+            # (a crash replacement or autoscaler launch) has a pool that can
+            # hold it, wait for that replica, as when nothing is routable.
+            warming = [
+                r
+                for r in self.replicas
+                if r.state is ReplicaState.WARMING and need <= r.engine.pool.token_capacity
+            ]
+            if warming:
+                self._defer_until_ready(spec, arrived_at, warming)
+                return
+            # Otherwise reject it.  The verdict depends on the spec and on
+            # the fleet's pool sizes, not on any replica's load, so no step
+            # of the fleet can overturn it before the routable set changes:
+            # the slot is released at once (a follow-up is judged on its
+            # own prompt and cannot cascade).
+            self._reject_spec(
+                spec,
+                now,
+                arrived_at,
+                REASON_EXCEEDS_CAPACITY,
+                candidates=len(views),
+                release_now=True,
+            )
             return
         if first_attempt and self.autoscaler is not None and views:
             saturated = sum(1 for v in views if v.saturated) / len(views)
@@ -1088,6 +1133,7 @@ class ClusterSimulator:
         completed = True
         total_steps = 0
         notify = getattr(generator, "on_request_completed", None)
+        reaction_delay = getattr(generator, "min_reaction_delay", 0.0)
 
         # Event priorities at equal times: warm-ups complete first (a replica
         # ready at t may serve an arrival at t), fault actions land next (so
@@ -1142,8 +1188,8 @@ class ClusterSimulator:
             if kind == ARRIVAL:
                 for spec in generator.pop_arrivals(time):
                     self._route_arrival(spec, time)
-                while self._throttle_releases:
-                    self._throttle_releases -= 1
+                while self._immediate_releases:
+                    self._immediate_releases -= 1
                     generator.on_request_finished(time)
                 continue
             if kind == RETRY:
@@ -1152,6 +1198,9 @@ class ClusterSimulator:
                     self._route_arrival(
                         deferred.spec, time, arrived_at=deferred.arrived_at, first_attempt=False
                     )
+                while self._immediate_releases:
+                    self._immediate_releases -= 1
+                    generator.on_request_finished(time)
                 continue
 
             assert step_replica is not None
@@ -1163,19 +1212,27 @@ class ClusterSimulator:
                 # moment anything can *observe* this replica — a scheduled
                 # arrival (routing views), a defer retry, an autoscale
                 # decision, a warm-up completion, and, when completions
-                # generate new arrivals (closed-loop clients), any other busy
-                # replica's next iteration, which could finish a request whose
-                # follow-up request is routed using this replica's state.
+                # generate new arrivals (closed-loop clients), the earliest
+                # arrival any other busy replica could spawn: its earliest
+                # possible completion plus the generator's minimum reaction
+                # delay (conservative-PDES lookahead; both terms are lower
+                # bounds, see docs/simulation-semantics.md).
                 horizon = min(
                     (event_time for event_time, kind in events if kind != STEP),
                     default=None,
                 )
                 if arrivals_from_finishes:
                     for other in busy:
-                        if other is not step_replica and (
-                            horizon is None or other.clock < horizon
+                        # The clock is a free lower bound on the engine's
+                        # earliest finish: only consult the engine when the
+                        # clock alone could still lower the horizon.
+                        if other is step_replica or (
+                            horizon is not None and other.clock + reaction_delay >= horizon
                         ):
-                            horizon = other.clock
+                            continue
+                        spawn = other.engine.earliest_finish_time(other.clock) + reaction_delay
+                        if horizon is None or spawn < horizon:
+                            horizon = spawn
                 # The same horizon bounds the saturated-phase jump: a replica
                 # whose waiting queue is non-empty may still fast-forward when
                 # its scheduler proves the next admission decisions all admit
@@ -1332,9 +1389,10 @@ class ClusterSimulator:
         later turn is spawned by its predecessor's completion, carrying the
         accumulated conversation prefix.  Spawned arrivals are routed like
         any other (the ``session-affinity`` router sends them back to the
-        replica holding their prefix), and — as with any closed-loop run —
-        every busy replica's clock bounds the event-jump horizon, since any
-        step may finish a turn whose follow-up observes fleet state.
+        replica holding their prefix).  As in any closed-loop run, each
+        replica's event jump stops before the earliest turn another busy
+        replica could spawn: that replica's earliest possible completion
+        plus the sessions' minimum think time.
         """
         generator = InteractionLoadGenerator(interactions)
         return self._run(

@@ -85,6 +85,11 @@ class RoutingAction(enum.Enum):
 #: Reject reason used when every routable replica is saturated.
 REASON_SATURATED = "saturated"
 
+#: Reject reason for a prompt no routable replica can ever hold: admitting it
+#: needs ``prompt_tokens + 1`` KV slots (the prompt plus its first generated
+#: token), more than any pool holds, so it would wait in a queue forever.
+REASON_EXCEEDS_CAPACITY = "exceeds-capacity"
+
 
 def shed_reason(sla_class: str) -> str:
     """Reject reason used when a request's SLA class is shed under pressure."""

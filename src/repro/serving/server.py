@@ -41,7 +41,17 @@ from repro.workloads.spec import Workload
 
 
 class LoadGenerator(Protocol):
-    """The interface both client models implement."""
+    """The interface both client models implement.
+
+    A generator whose completions cause arrivals may also expose a
+    ``min_reaction_delay`` attribute: a lower bound, in seconds, on the gap
+    between a completion (or any ``on_request_finished`` call) and the
+    earliest arrival it can cause.  Closed-loop fleets add it to each
+    replica's earliest possible completion to bound the other replicas'
+    event jumps.  It is a property of the workload (the think times), not a
+    tuning knob; a generator without it is treated as reacting instantly
+    (``0.0``), which is always safe.
+    """
 
     def start(self, time: float = 0.0) -> None:
         """Begin generating arrivals at simulation time ``time``."""

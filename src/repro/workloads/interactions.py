@@ -27,6 +27,7 @@ via ``next_arrival_time()`` before any iteration is fused past it.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -234,6 +235,11 @@ class InteractionLoadGenerator:
         self._pending: list[_TurnArrival] = []
         self._sequence = 0
         self._in_flight = 0
+        # Only sessions with a follow-up turn ever react to a completion.
+        self._min_reaction_delay = min(
+            (it.think_time for it in self._interactions.values() if it.num_stages > 1),
+            default=math.inf,
+        )
         #: session_id -> turns completed so far (exposed for tests/metrics).
         self.turns_completed: dict[str, int] = {
             sid: 0 for sid in self._interactions
@@ -248,6 +254,16 @@ class InteractionLoadGenerator:
     def in_flight(self) -> int:
         """Turns currently submitted but not yet finished."""
         return self._in_flight
+
+    @property
+    def min_reaction_delay(self) -> float:
+        """Smallest completion-to-arrival delay of any spawned turn.
+
+        The minimum think time over sessions that have a follow-up turn;
+        ``inf`` when no session does, since then no completion spawns
+        anything.
+        """
+        return self._min_reaction_delay
 
     def _push(self, time: float, spec: RequestSpec) -> None:
         self._sequence += 1

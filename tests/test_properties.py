@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -14,15 +16,23 @@ from repro.core.future_memory import (
 )
 from repro.core.history import OutputLengthHistory
 from repro.core.predictor import build_predictor
+from repro.hardware.platform import paper_platform
 from repro.memory.block_manager import BlockKVCachePool
 from repro.memory.prefix_cache import PrefixCache
 from repro.metrics.similarity import cosine_similarity, default_bin_edges, length_histogram
+from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash, Straggler
+from repro.serving.routing import available_routers
+from repro.serving.throttle import OverloadThrottle
 from repro.workloads.interactions import (
     Interaction,
     InteractionLoadGenerator,
     InteractionStage,
     generate_interactions,
 )
+from repro.workloads.sharegpt import generate_sharegpt_workload
+from repro.workloads.spec import scale_workload
+from tests.helpers import assert_conservation, assert_rng_stream_identity
 
 entry_strategy = st.builds(
     BatchEntry,
@@ -357,3 +367,86 @@ class TestSpawnedArrivalProperties:
             times = [time for _, time in turns]
             for earlier, later in zip(times, times[1:]):
                 assert later >= earlier + service_time + think_time - 1e-9
+
+
+class TestClosedLoopLookaheadProperties:
+    """Closed-loop fleets fuse past other replicas' clocks, never past a spawn.
+
+    Each replica's jump is bounded by every other busy replica's earliest
+    possible completion plus the generator's minimum reaction delay; the
+    draw covers zero think times, mixed per-session think times (so the
+    minimum is what matters), every router, and optional prefix caching,
+    faults and throttling.  The fast path must stay bit-identical to the
+    reference loop, and no request may vanish.
+    """
+
+    @given(
+        num_replicas=st.integers(2, 6),
+        router=st.sampled_from(available_routers()),
+        scheduler=st.sampled_from(["aggressive", "conservative", "past-future"]),
+        sessions=st.booleans(),
+        think_times=st.lists(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.5]), min_size=1, max_size=4),
+        prefix_cache=st.booleans(),
+        fault=st.sampled_from([None, "crash", "straggler"]),
+        fault_time=st.floats(0.05, 1.5),
+        throttle=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fast_path_matches_reference(
+        self,
+        num_replicas,
+        router,
+        scheduler,
+        sessions,
+        think_times,
+        prefix_cache,
+        fault,
+        fault_time,
+        throttle,
+        seed,
+    ):
+        capacity = 1536
+        if fault == "crash":
+            faults = FaultPlan(crashes=(ReplicaCrash(time=fault_time, replica=0),), seed=seed)
+        elif fault == "straggler":
+            faults = FaultPlan(stragglers=(Straggler(start=fault_time, duration=0.8, replica=1),), seed=seed)
+        else:
+            faults = None
+        if sessions:
+            generated = generate_interactions(
+                10,
+                seed=seed,
+                mean_prompt_tokens=48.0,
+                mean_output_tokens=24.0,
+                max_turns=4,
+                start_spacing=0.05,
+                num_users=3,
+            )
+            interactions = [
+                dataclasses.replace(it, think_time=think_times[i % len(think_times)])
+                for i, it in enumerate(generated)
+            ]
+        else:
+            workload = scale_workload(generate_sharegpt_workload(40, seed=seed), 0.1)
+
+        def run(fast_path):
+            simulator = ClusterSimulator(
+                paper_platform("7b-a100"),
+                num_replicas=num_replicas,
+                router=router,
+                scheduler_name=scheduler,
+                token_capacity_override=capacity,
+                prefix_cache_tokens=capacity // 2 if prefix_cache else None,
+                faults=faults,
+                throttle=OverloadThrottle(user_rpm=6, window_seconds=1.0) if throttle else None,
+                fast_path=fast_path,
+            )
+            if sessions:
+                return simulator.run_sessions(interactions)
+            return simulator.run_closed_loop(workload, num_clients=12, think_time=think_times[0])
+
+        fast, reference = run(True), run(False)
+        assert fast.completed
+        assert_rng_stream_identity(fast, reference)
+        assert_conservation(fast)

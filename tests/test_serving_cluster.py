@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.platform import paper_platforms
 from repro.serving.cluster import ClusterSimulator
+from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import (
+    REASON_EXCEEDS_CAPACITY,
     REASON_SATURATED,
     ReplicaSnapshot,
     Router,
@@ -16,6 +20,7 @@ from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.spec import RequestSpec, Workload
 from tests.conftest import make_workload
+from tests.helpers import assert_conservation, assert_rng_stream_identity
 
 SLA = SLASpec(ttft_limit=10.0, mtpot_limit=1.5)
 
@@ -256,6 +261,93 @@ class TestRejectDeferBookkeeping:
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert result.routed_requests + len(result.rejected) == 24
+
+
+def with_oversized(workload: Workload, index: int, capacity: int) -> Workload:
+    """``workload`` with request ``index``'s prompt grown past ``capacity``."""
+    specs = list(workload.requests)
+    specs[index] = dataclasses.replace(specs[index], input_length=capacity + 10)
+    return Workload(name=f"{workload.name}-oversized", requests=specs)
+
+
+class TestOversizedPrompt:
+    """A prompt no replica can hold is rejected typed; the run goes on."""
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_closed_loop_run_completes(self, platform_7b, fast_path):
+        workload = with_oversized(make_workload(num_requests=60), 7, capacity=2048)
+        cluster = make_cluster(platform_7b, router="memory-aware", fast_path=fast_path)
+        result = cluster.run_closed_loop(workload, num_clients=8)
+        assert result.completed
+        assert len(result.finished_requests) == 59
+        assert result.reject_reasons == {REASON_EXCEEDS_CAPACITY: 1}
+        assert [r.request_id for r in result.rejected] == [workload.requests[7].request_id]
+        assert_conservation(result, 60)
+
+    def test_fast_path_matches_reference(self, platform_7b):
+        workload = with_oversized(make_workload(num_requests=40), 3, capacity=2048)
+
+        def run(fast_path):
+            cluster = make_cluster(platform_7b, router="memory-aware", fast_path=fast_path)
+            return cluster.run_closed_loop(workload, num_clients=6)
+
+        assert_rng_stream_identity(lambda: run(True), lambda: run(False))
+
+    def test_single_client_is_released_at_once(self, platform_7b):
+        # With one client and an idle fleet, a slot released only after the
+        # next iteration would never come back: the run would end early.
+        workload = with_oversized(make_workload(num_requests=5), 0, capacity=2048)
+        result = make_cluster(platform_7b, num_replicas=2).run_closed_loop(workload, num_clients=1)
+        assert result.completed
+        assert len(result.finished_requests) == 4
+        assert result.reject_reasons == {REASON_EXCEEDS_CAPACITY: 1}
+
+    def test_open_loop_run_completes(self, platform_7b):
+        workload = with_oversized(stamped_workload(num_requests=12), 5, capacity=2048)
+        result = make_cluster(platform_7b).run_open_loop(workload)
+        assert result.completed
+        assert len(result.finished_requests) == 11
+        assert result.reject_reasons == {REASON_EXCEEDS_CAPACITY: 1}
+        assert_conservation(result, 12)
+
+
+    @pytest.mark.parametrize("replace_crashed", [True, False])
+    def test_waits_for_a_warming_replica_that_can_hold_it(self, replace_crashed):
+        # A100 + RTX-4090 fleet: the A100 crashes, and a prompt only an A100
+        # pool can hold arrives while its replacement warms up.  It waits for
+        # the replacement; with no replacement coming it is rejected.
+        plan = FaultPlan(
+            crashes=(ReplicaCrash(time=0.1, replica=0),),
+            replace_crashed=replace_crashed,
+            replacement_warmup=2.0,
+        )
+        cluster = ClusterSimulator(
+            platforms=paper_platforms("7b-a100", "7b-4090"),
+            num_replicas=2,
+            router="memory-aware",
+            scheduler_name="conservative",
+            capacity_scale=1.0 / 32.0,
+            faults=plan,
+        )
+        a100_pool, rtx_pool = (v.token_capacity for v in cluster.snapshots())
+        assert rtx_pool < a100_pool
+        big = RequestSpec(
+            request_id="big",
+            input_length=rtx_pool + 10,
+            output_length=4,
+            max_new_tokens=4,
+            arrival_time=0.5,
+        )
+        workload = Workload(name="warming", requests=[*stamped_workload(6).requests, big])
+        result = cluster.run_open_loop(workload)
+        assert result.completed
+        assert_conservation(result, 7)
+        if replace_crashed:
+            assert REASON_EXCEEDS_CAPACITY not in result.reject_reasons
+            (served,) = [r for r in result.finished_requests if r.request_id == "big"]
+            assert served.first_token_time >= 2.1
+        else:
+            assert result.reject_reasons[REASON_EXCEEDS_CAPACITY] == 1
 
 
 class TestHeterogeneousFleet:

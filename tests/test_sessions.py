@@ -19,6 +19,7 @@ from repro.metrics.sessions import summarize_sessions
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.routing import (
+    REASON_EXCEEDS_CAPACITY,
     MemoryAwareRouter,
     ReplicaView,
     RoutingAction,
@@ -407,3 +408,33 @@ class TestRunSessionsEndToEnd:
         assert_conservation(affinity)
         assert affinity.prefix_stats is not None and blind.prefix_stats is not None
         assert affinity.prefix_stats.hit_rate > blind.prefix_stats.hit_rate
+
+
+class TestOutgrownContext:
+    """A session whose accumulated context outgrows the pool is abandoned."""
+
+    def test_cluster_rejects_the_turn_and_serves_the_rest(self, platform_7b):
+        grower = Interaction(
+            "grower",
+            (
+                InteractionStage(prompt_tokens=150, output_tokens=60),
+                # Turn 1 carries turn 0's 210 tokens plus 60 new: 270 > 256.
+                InteractionStage(prompt_tokens=60, output_tokens=4),
+            ),
+        )
+        small = [Interaction(f"s{i}", (STAGE, STAGE), start_time=0.01 * i) for i in range(4)]
+        simulator = ClusterSimulator(
+            platform=platform_7b,
+            num_replicas=2,
+            router="session-affinity",
+            scheduler_name="conservative",
+            token_capacity_override=256,
+        )
+        result = simulator.run_sessions([grower, *small])
+        assert result.completed
+        assert result.reject_reasons == {REASON_EXCEEDS_CAPACITY: 1}
+        assert [r.request_id for r in result.rejected] == ["grower/t1"]
+        summary = result.session_summary()
+        assert summary.completed_sessions == 4
+        assert summary.abandoned_sessions == 1
+        assert_conservation(result)
