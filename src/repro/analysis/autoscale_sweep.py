@@ -26,10 +26,9 @@ from repro.serving.autoscale import (
     available_autoscale_policies,
     create_autoscale_policy,
 )
-from repro.serving.cluster import ClusterSimulator
+from repro.serving.cluster import ClusterSimulator, SimulationLimits
 from repro.serving.results import ClusterResult
 from repro.serving.routing import Router
-from repro.serving.server import SimulationLimits
 from repro.serving.sla import SLASpec, sla_for_model
 from repro.workloads.spec import Workload
 

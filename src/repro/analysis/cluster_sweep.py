@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.hardware.platform import Platform
-from repro.serving.cluster import ClusterSimulator
+from repro.serving.cluster import ClusterSimulator, SimulationLimits
 from repro.serving.results import ClusterResult
 from repro.serving.routing import Router, available_routers
-from repro.serving.server import SimulationLimits
 from repro.serving.sla import SLASpec, sla_for_model
 from repro.workloads.spec import Workload
 

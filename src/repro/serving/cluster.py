@@ -1,11 +1,12 @@
 """Multi-replica cluster serving: an elastic fleet of engines behind a router.
 
-The single-engine :class:`~repro.serving.server.ServingSimulator` answers the
-paper's question — does past-future admission control raise one engine's
-goodput?  A production deployment runs a *fleet* of such engines behind a
-router, and the same per-replica signal the scheduler uses (predicted future
-memory) becomes a placement signal: send each arriving request to the replica
-whose batch has the most predicted headroom.
+The paper's question — does past-future admission control raise one
+engine's goodput? — is a one-replica run of this simulator
+(:class:`~repro.serving.server.ServingSimulator` is that façade).  A
+production deployment runs a *fleet* of such engines behind a router, and
+the same per-replica signal the scheduler uses (predicted future memory)
+becomes a placement signal: send each arriving request to the replica whose
+batch has the most predicted headroom.
 
 :class:`ClusterSimulator` owns a dynamic set of independent
 :class:`~repro.engine.engine.InferenceEngine` instances — each with its own
@@ -63,7 +64,7 @@ import enum
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.engine.cost_model import CostModel
 from repro.engine.engine import InferenceEngine
@@ -101,17 +102,125 @@ from repro.serving.routing import (
     RoutingDecision,
     create_router,
 )
-from repro.serving.server import (
-    LoadGenerator,
-    SimulationLimits,
-    _submit_attrs,
-    emit_session_abandoned,
-    emit_session_completion,
-    emit_session_submit,
-)
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.interactions import Interaction, InteractionLoadGenerator
 from repro.workloads.spec import RequestSpec, Workload
+
+
+class LoadGenerator(Protocol):
+    """The interface both client models implement.
+
+    A generator whose completions cause arrivals may also expose a
+    ``min_reaction_delay`` attribute: a lower bound, in seconds, on the gap
+    between a completion (or any ``on_request_finished`` call) and the
+    earliest arrival it can cause.  Closed-loop fleets add it to each
+    replica's earliest possible completion to bound the other replicas'
+    event jumps.  It is a property of the workload (the think times), not a
+    tuning knob; a generator without it is treated as reacting instantly
+    (``0.0``), which is always safe.
+    """
+
+    def start(self, time: float = 0.0) -> None:
+        """Begin generating arrivals at simulation time ``time``."""
+        ...
+
+    def on_request_finished(self, time: float) -> None:
+        """Observe a completion (closed-loop clients schedule their next request)."""
+        ...
+
+    def pop_arrivals(self, now: float) -> list:
+        """Return (and consume) every arrival with timestamp <= ``now``."""
+        ...
+
+    def next_arrival_time(self) -> float | None:
+        """Timestamp of the next scheduled arrival, or ``None`` if exhausted."""
+        ...
+
+    @property
+    def drained(self) -> bool:
+        """Whether no further arrivals can ever be produced."""
+        ...
+
+
+def _submit_attrs(spec) -> dict:
+    """``request.submit`` payload: prompt size plus any tenant identity."""
+    attrs: dict = {"prompt_tokens": spec.prompt_tokens}
+    if spec.user_id is not None:
+        attrs["user_id"] = spec.user_id
+    if spec.app_id is not None:
+        attrs["app_id"] = spec.app_id
+    if spec.sla_class:
+        attrs["sla_class"] = spec.sla_class
+    return attrs
+
+
+def emit_session_submit(tracer: Tracer, spec, time: float) -> None:
+    """Emit ``session.start`` when a session's opening turn is submitted."""
+    if spec.session_id is None or spec.session_stage != 0:
+        return
+    tracer.emit(
+        TraceEvent(
+            obs.SESSION_START,
+            time,
+            request_id=spec.request_id,
+            attrs={"session_id": spec.session_id, "stages": spec.session_stages},
+        )
+    )
+
+
+def emit_session_completion(tracer: Tracer, request: Request, time: float) -> None:
+    """Emit ``session.stage`` / ``session.end`` for one finished session turn."""
+    spec = request.spec
+    if spec.session_id is None or spec.session_stage is None:
+        return
+    if spec.is_final_stage:
+        tracer.emit(
+            TraceEvent(
+                obs.SESSION_END,
+                time,
+                request_id=spec.request_id,
+                attrs={
+                    "session_id": spec.session_id,
+                    "turns_completed": spec.session_stage + 1,
+                    "abandoned": False,
+                },
+            )
+        )
+    else:
+        tracer.emit(
+            TraceEvent(
+                obs.SESSION_STAGE,
+                time,
+                request_id=spec.request_id,
+                attrs={"session_id": spec.session_id, "stage": spec.session_stage},
+            )
+        )
+
+
+def emit_session_abandoned(tracer: Tracer, spec, time: float) -> None:
+    """Emit an abandoned ``session.end`` for a turned-away session turn."""
+    if spec.session_id is None or spec.session_stage is None:
+        return
+    tracer.emit(
+        TraceEvent(
+            obs.SESSION_END,
+            time,
+            request_id=spec.request_id,
+            attrs={
+                "session_id": spec.session_id,
+                "turns_completed": spec.session_stage,
+                "abandoned": True,
+            },
+        )
+    )
+
+
+@dataclass
+class SimulationLimits:
+    """Safety bounds so misconfigured runs terminate."""
+
+    max_steps: int = 2_000_000
+    max_time: float = 1_000_000.0
 
 
 class ReplicaState(enum.Enum):
@@ -930,27 +1039,34 @@ class ClusterSimulator:
         arrived_at: float | None = None,
         first_attempt: bool = True,
     ) -> None:
-        """Run one routing decision for ``spec`` and execute its outcome.
+        """Admit ``spec`` (first attempt only), then place it.
 
         ``arrived_at`` pins the request's arrival timestamp across defer
         retries (latency accounting always starts at the original arrival);
-        retries also skip the autoscaler's traffic window so a deferred
-        request is not double-counted as new demand.
+        retries skip admission — the request was admitted (and recorded in
+        its tenant's throttle window) on first attempt.
         """
         if arrived_at is None:
             arrived_at = spec.arrival_time if spec.arrival_time is not None else now
-        if self._tracing and first_attempt:
+        if first_attempt and not self._admit(spec, now, arrived_at):
+            return
+        self._place(spec, now, arrived_at, first_attempt)
+
+    def _admit(self, spec: RequestSpec, now: float, arrived_at: float) -> bool:
+        """Record a fresh arrival's submission and apply the throttle.
+
+        Returns ``False`` when the throttle turned the arrival away.
+        """
+        if self._tracing:
             emit_session_submit(self.tracer, spec, now)
             self.tracer.emit(
                 TraceEvent(
                     obs.REQUEST_SUBMIT, now, request_id=spec.request_id, attrs=_submit_attrs(spec)
                 )
             )
-        if first_attempt and self.throttle is not None:
-            # Rate limiting sits in front of routing: a throttled arrival
+        if self.throttle is not None:
+            # Rate limiting sits in front of placement: a throttled arrival
             # consumes no routing decision and no autoscaler traffic signal.
-            # Defer retries skip the check — the request was admitted (and
-            # recorded in its tenant's window) on first attempt.
             reason = self.throttle.check(spec, now)
             if reason is not None:
                 self.rejected.append(Request(spec=spec, arrival_time=arrived_at))
@@ -975,7 +1091,15 @@ class ClusterSimulator:
                 # window or is itself throttled — and the workload is finite.
                 # Drained by the caller (the arrival loop owns the generator).
                 self._immediate_releases += 1
-                return
+                return False
+        return True
+
+    def _place(self, spec: RequestSpec, now: float, arrived_at: float, first_attempt: bool) -> None:
+        """Run one routing decision for an admitted ``spec`` and execute it.
+
+        Retries (``first_attempt=False``) skip the autoscaler's traffic
+        window so a deferred request is not double-counted as new demand.
+        """
         if self._fault_injector is not None:
             # Transient routing errors: a deterministic per-(request, attempt)
             # coin decides whether this routing attempt is dropped by the
@@ -1103,6 +1227,10 @@ class ClusterSimulator:
                     },
                 )
             )
+        self._enqueue(replica, spec, now, arrived_at)
+
+    def _enqueue(self, replica: _Replica, spec: RequestSpec, now: float, arrived_at: float) -> None:
+        """Submit ``spec`` to ``replica``'s engine."""
         request = Request(spec=spec, arrival_time=arrived_at)
         if not replica.engine.has_work():
             # An idle replica resumes at the arrival instant; a busy one keeps
@@ -1140,8 +1268,7 @@ class ClusterSimulator:
         # decisions, arrivals, and retries all see the post-fault fleet),
         # decisions see the pre-arrival fleet, arrivals join before retries
         # of older deferred requests, and all join before the step at the
-        # same instant (matching ServingSimulator's "arrivals <= now join
-        # this batch").
+        # same instant ("arrivals <= now join this batch").
         READY, FAULT, DECIDE, ARRIVAL, RETRY, STEP = 0, 1, 2, 3, 4, 5
 
         while True:
@@ -1289,8 +1416,10 @@ class ClusterSimulator:
                 # retirement itself is stamped with the step's end clock.
                 self._retire(step_replica, time)
 
-            # Stall guard, per replica: repeated idle iterations with waiting
-            # requests mean no admission is possible (see ServingSimulator).
+            # Stall guard, per replica: an idle iteration while requests are
+            # waiting means no admission is possible (e.g. a prompt larger
+            # than the pool placed without the exceeds-capacity check); stop
+            # instead of spinning forever.
             if result.was_idle:
                 step_replica.idle_streak += 1
                 if step_replica.idle_streak >= 3:

@@ -3,22 +3,29 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
+from repro.analysis.perf import run_snapshot
 from repro.hardware.platform import paper_platforms
+from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.faults import FaultPlan, ReplicaCrash
 from repro.serving.routing import (
     REASON_EXCEEDS_CAPACITY,
     REASON_SATURATED,
-    ReplicaSnapshot,
+    ReplicaView,
     Router,
     RoutingDecision,
 )
+from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec
+from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import assign_bursty_arrivals
+from repro.workloads.interactions import generate_interactions
 from repro.workloads.spec import RequestSpec, Workload
+from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_workload
 from tests.helpers import assert_conservation, assert_rng_stream_identity
 
@@ -87,22 +94,52 @@ class TestClusterRuns:
         assert len(result.finished_requests) == 40
 
     def test_single_replica_matches_single_engine_simulator(self, platform_7b):
-        # A 1-replica cluster is the degenerate case and must reproduce the
-        # single-engine simulator exactly (same arrivals-join-this-batch
-        # semantics), so fleet results extend the paper's numbers.
-        from repro.schedulers.registry import create_scheduler
-        from repro.serving.server import ServingSimulator
-
-        single = ServingSimulator(
-            platform_7b, create_scheduler("conservative"), token_capacity_override=2048
+        # ServingSimulator is a one-replica cluster that places arrivals
+        # directly; a routed one-replica cluster must produce exactly the
+        # same run, so direct placement is a pure shortcut.
+        population = generate_tenant_population(2, abusive_users=1, abusive_share=0.9)
+        workload = assign_tenants(make_workload(num_requests=30), population, seed=7)
+        interactions = generate_interactions(
+            10, seed=3, mean_prompt_tokens=64, mean_output_tokens=24, max_turns=4, num_users=2
         )
-        reference = single.run_closed_loop(make_workload(num_requests=20), num_clients=3)
-        cluster = make_cluster(platform_7b, num_replicas=1)
-        result = cluster.run_closed_loop(make_workload(num_requests=20), num_clients=3)
-        assert result.duration == pytest.approx(reference.duration)
-        assert [r.ttft for r in result.finished_requests] == pytest.approx(
-            [r.ttft for r in reference.finished_requests]
-        )
+        runs = {
+            "closed": lambda sim: sim.run_closed_loop(workload, num_clients=4),
+            "open": lambda sim: sim.run_open_loop(workload, request_rate=20.0, seed=5),
+            "sessions": lambda sim: sim.run_sessions(interactions),
+        }
+        for (mode, run), throttled, prefix, fast in itertools.product(
+            runs.items(), (False, True), (False, True), (False, True)
+        ):
+            case = (mode, throttled, prefix, fast)
+            options = dict(
+                token_capacity_override=1024,
+                fast_path=fast,
+                prefix_cache_tokens=256 if prefix else None,
+            )
+            single = run(
+                ServingSimulator(
+                    platform_7b,
+                    create_scheduler("past-future", seed=1),
+                    throttle=OverloadThrottle(user_rpm=5) if throttled else None,
+                    **options,
+                )
+            )
+            fleet = run(
+                ClusterSimulator(
+                    platform=platform_7b,
+                    num_replicas=1,
+                    router="round-robin",
+                    scheduler_kwargs={"seed": 1},
+                    throttle=OverloadThrottle(user_rpm=5) if throttled else None,
+                    **options,
+                )
+            )
+            replica = dataclasses.replace(
+                fleet.replicas[0], rejected=fleet.rejected, reject_reasons=fleet.reject_reasons
+            )
+            assert single.completed, case
+            assert bool(single.rejected) == throttled, case
+            assert run_snapshot(single) == run_snapshot(replica), case
 
     def test_replica_clocks_resume_at_arrival_time(self, platform_7b):
         # A lone late request must not be served in the past.
@@ -444,8 +481,8 @@ class TestValidation:
         class BrokenRouter(Router):
             name = "broken"
 
-            def select_replica(self, spec, snapshots):
-                return 99
+            def decide(self, spec, views, now=0.0):
+                return RoutingDecision.route(99)
 
         cluster = make_cluster(platform_7b, router=BrokenRouter())
         with pytest.raises(RuntimeError, match="invalid replica"):
@@ -466,5 +503,5 @@ class TestValidation:
         cluster = make_cluster(platform_7b, num_replicas=2)
         snapshots = cluster.snapshots()
         assert [s.replica_id for s in snapshots] == [0, 1]
-        assert all(isinstance(s, ReplicaSnapshot) for s in snapshots)
+        assert all(isinstance(s, ReplicaView) for s in snapshots)
         assert all(s.used_tokens == 0 and s.outstanding == 0 for s in snapshots)

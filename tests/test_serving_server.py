@@ -7,8 +7,11 @@ import pytest
 from repro.schedulers.aggressive import AggressiveScheduler
 from repro.schedulers.conservative import ConservativeScheduler
 from repro.core.past_future import PastFutureScheduler
+from repro.obs import events as obs
+from repro.obs.tracer import RingTracer
 from repro.serving.server import ServingSimulator, SimulationLimits
 from repro.serving.sla import SLASpec
+from repro.serving.throttle import OverloadThrottle
 from repro.workloads.spec import RequestSpec, Workload
 from tests.conftest import make_workload
 
@@ -131,3 +134,70 @@ class TestRunResultMetrics:
         assert summary.count == 10
         assert summary.mean_ttft > 0
         assert summary.p99_mtpot >= summary.mean_tpot
+
+
+class TestSingleUse:
+    def test_second_run_raises(self, platform_7b):
+        # Engines accumulate state, so a reused simulator would hand back the
+        # first run's stats and memory timeline; it refuses instead.
+        sim = simulator(platform_7b, AggressiveScheduler(), capacity=4096)
+        first = sim.run_closed_loop(make_workload(8, output_length=4), num_clients=2)
+        assert first.completed
+        with pytest.raises(RuntimeError, match="single-use"):
+            sim.run_closed_loop(make_workload(8, output_length=4), num_clients=2)
+        with pytest.raises(RuntimeError, match="single-use"):
+            sim.run_open_loop(make_workload(8, output_length=4), request_rate=10.0)
+        assert sim.engine.stats is first.engine_stats
+
+
+class TestOneLoopSemantics:
+    """Single-engine behaviour shared with the fleet loop (docs: "One loop")."""
+
+    def test_throttled_client_is_released_at_its_arrival(self, platform_7b):
+        # One tenant, one admission per window: every follow-up of a throttled
+        # client arrives, is throttled and released at t=0, while the one
+        # admitted request is still running.
+        workload = Workload(
+            name="one-tenant",
+            requests=[
+                RequestSpec(f"t{i}", input_length=16, output_length=8, max_new_tokens=8, user_id="u")
+                for i in range(6)
+            ],
+        )
+        tracer = RingTracer()
+        sim = simulator(
+            platform_7b,
+            AggressiveScheduler(),
+            capacity=4096,
+            throttle=OverloadThrottle(user_rpm=1),
+            tracer=tracer,
+        )
+        result = sim.run_closed_loop(workload, num_clients=2)
+        assert result.completed
+        assert len(result.requests) == 1 and len(result.rejected) == 5
+        throttled = [e.time for e in tracer.events if e.name == obs.REQUEST_THROTTLED]
+        assert throttled == [0.0] * 5
+        assert result.duration == result.requests[0].finish_time > 0.0
+
+    def test_trailing_throttled_arrival_does_not_extend_duration(self, platform_7b):
+        requests = [
+            RequestSpec(rid, input_length=16, output_length=4, max_new_tokens=4, user_id="u", arrival_time=at)
+            for rid, at in (("early", 0.0), ("late", 100.0))
+        ]
+        sim = simulator(
+            platform_7b,
+            AggressiveScheduler(),
+            capacity=4096,
+            throttle=OverloadThrottle(user_rpm=1, window_seconds=1000.0),
+        )
+        result = sim.run_open_loop(Workload(name="late-reject", requests=requests))
+        assert [r.request_id for r in result.rejected] == ["late"]
+        assert result.duration == result.requests[0].finish_time < 1.0
+
+    def test_single_engine_trace_launches_one_replica(self, platform_7b):
+        tracer = RingTracer()
+        sim = simulator(platform_7b, AggressiveScheduler(), capacity=4096, tracer=tracer)
+        sim.run_closed_loop(make_workload(4, output_length=4), num_clients=2)
+        names = [e.name for e in tracer.events]
+        assert names.count(obs.REPLICA_LAUNCH) == 1
+        assert obs.REQUEST_ROUTED not in names
