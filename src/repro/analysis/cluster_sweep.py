@@ -29,7 +29,9 @@ class ClusterExperimentConfig:
     must be set.  ``capacity_scale`` is the scaled-experiment knob for
     heterogeneous fleets: it multiplies each replica's *own* platform
     capacity, preserving the capacity ratios an absolute
-    ``token_capacity_override`` would erase.
+    ``token_capacity_override`` would erase.  Admission policy (rejecting
+    into a saturated fleet) belongs to the router passed to
+    :meth:`build_simulator`.
     """
 
     platform: Platform | None = None
@@ -40,7 +42,6 @@ class ClusterExperimentConfig:
     chunked_prefill_tokens: int | None = None
     token_capacity_override: int | None = None
     capacity_scale: float | None = None
-    reject_when_saturated: bool = False
     platforms: Sequence[Platform] | None = None
     limits: SimulationLimits = field(default_factory=SimulationLimits)
     #: event-jump fast path; ``False`` bisects against the reference loop.
@@ -67,7 +68,6 @@ class ClusterExperimentConfig:
             chunked_prefill_tokens=self.chunked_prefill_tokens,
             token_capacity_override=self.token_capacity_override,
             capacity_scale=self.capacity_scale,
-            reject_when_saturated=self.reject_when_saturated,
             platforms=self.platforms,
             limits=self.limits,
             fast_path=self.fast_path,

@@ -126,7 +126,8 @@ class JumpStats:
 
     #: reference iterations executed via :meth:`InferenceEngine.step`.
     loop_steps: int = 0
-    #: silent-jump attempts (:meth:`InferenceEngine.try_jump` calls).
+    #: silent-jump attempts (:meth:`InferenceEngine.try_jump` calls made
+    #: with an empty waiting queue).
     silent_attempts: int = 0
     #: silent-jump attempts that produced a macro-step.
     silent_jumps: int = 0
@@ -840,7 +841,7 @@ class InferenceEngine:
         resident is decoding, nobody reaches its last token (finishes are
         events), and the pool provably grows every resident each step (so no
         eviction is possible).  Whether the *scheduler* would also stay
-        silent is the caller's concern: :meth:`silent_steps_bound` requires
+        silent is the caller's concern: a silent :meth:`try_jump` requires
         an empty waiting queue, :meth:`try_jump_saturated` asks the scheduler
         to prove its decisions instead.
         """
@@ -862,19 +863,6 @@ class InferenceEngine:
         if bound <= 0:
             return 0
         return self.pool.max_uniform_growth(bound)
-
-    def silent_steps_bound(self) -> int:
-        """Upper bound on decode iterations provably free of any event.
-
-        An iteration is *silent* when it admits nothing (empty waiting
-        queue), prefills nothing, finishes nothing, and cannot evict (the
-        pool is guaranteed to grow every resident by one token).  Returns 0
-        whenever the next iteration might do any of those, in which case the
-        caller must take the reference :meth:`step` path.
-        """
-        if self.waiting:
-            return 0
-        return self._uniform_decode_bound()
 
     def earliest_finish_time(self, time: float) -> float:
         """Lower bound on when this engine can next finish a request.
@@ -931,6 +919,13 @@ class InferenceEngine:
     ) -> JumpResult | None:
         """Fuse as many provably event-free decode iterations as possible.
 
+        The single jump entry point drivers use.  With an empty waiting
+        queue an iteration is *silent* when it prefills nothing, finishes
+        nothing, and cannot evict (the pool is guaranteed to grow every
+        resident by one token); a non-empty queue hands the attempt to
+        :meth:`try_jump_saturated`, whose scheduler must also prove it admits
+        nothing.
+
         The macro-step reproduces the reference loop exactly: per-iteration
         durations come from :meth:`CostModel.decode_step_durations` (the same
         float64 operations the scalar path performs), token timestamps are the
@@ -959,9 +954,11 @@ class InferenceEngine:
         """
         if not self.fast_path:
             return None
+        if self.waiting:
+            return self.try_jump_saturated(time, horizon, max_steps, max_time, min_steps)
         stats = self.jump_stats
         stats.silent_attempts += 1
-        bound = self.silent_steps_bound()
+        bound = self._uniform_decode_bound()
         if bound < min_steps:
             stats.note_fallback("silent:no-window")
             return None
@@ -979,26 +976,6 @@ class InferenceEngine:
             stats.silent_jumps += 1
             stats.silent_steps_fused += result.steps
         return result
-
-    def try_jump_any(
-        self,
-        time: float,
-        horizon: float | None = None,
-        max_steps: int | None = None,
-        max_time: float | None = None,
-        min_steps: int = 2,
-    ) -> JumpResult | None:
-        """Try whichever event-jump applies to the current queue state.
-
-        The single entry point drivers use: an empty waiting queue makes the
-        next iterations candidates for a silent jump (:meth:`try_jump`), a
-        non-empty one for a saturated jump (:meth:`try_jump_saturated`).
-        Keeping the dispatch here means callers only plumb horizons, not
-        queue-state knowledge.
-        """
-        if self.waiting:
-            return self.try_jump_saturated(time, horizon, max_steps, max_time, min_steps)
-        return self.try_jump(time, horizon, max_steps, max_time, min_steps)
 
     def try_jump_saturated(
         self,

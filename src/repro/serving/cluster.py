@@ -96,10 +96,8 @@ from repro.serving.faults import (
 from repro.serving.results import ClusterResult, RunResult
 from repro.serving.routing import (
     REASON_EXCEEDS_CAPACITY,
-    REASON_SATURATED,
     ReplicaView,
     Router,
-    RoutingDecision,
     create_router,
 )
 from repro.serving.throttle import OverloadThrottle
@@ -320,9 +318,11 @@ class ClusterSimulator:
             fleet); exactly one of ``platform`` / ``platforms`` is required.
         num_replicas: initial number of independent engines; with an
             ``autoscaler`` this is only the starting size.
-        router: placement policy, as a :class:`Router` instance or a registry
-            name (``round-robin``, ``least-outstanding``, ``least-kv-load``,
-            ``memory-aware``).
+        router: placement and admission policy, as a :class:`Router`
+            instance or a registry name (``round-robin``,
+            ``least-outstanding``, ``least-kv-load``, ``memory-aware``,
+            ``session-affinity``).  Turning arrivals away from a saturated
+            fleet is the router's admission policy (see :class:`Router`).
         scheduler_name: per-replica admission scheduler registry name; each
             replica gets its *own* scheduler instance so history-based
             policies learn only from their replica's completions.
@@ -343,12 +343,6 @@ class ClusterSimulator:
             instead — the scaled-experiment knob for heterogeneous fleets,
             where one absolute override would erase the capacity differences
             under study.  Mutually exclusive with ``token_capacity_override``.
-        reject_when_saturated: convenience knob applying the same admission
-            policy routers can carry themselves (see :class:`Router`): when
-            every routable replica is saturated, new arrivals are turned away
-            instead of queued; rejected requests never execute but are
-            reported.  Checked at the cluster level, so a caller-supplied
-            router instance is never mutated.
         platforms: per-replica deployment targets for a heterogeneous fleet.
             Replicas cycle through this list in launch order (the initial
             fleet and every autoscaler launch), so a two-entry list behind a
@@ -360,12 +354,11 @@ class ClusterSimulator:
         limits: safety bounds over the whole fleet (``max_steps`` counts
             iterations summed across replicas).
         fast_path: let replicas fuse provably event-free decode iterations
-            into macro-steps (see :meth:`InferenceEngine.try_jump` and, for
-            non-empty waiting queues,
-            :meth:`InferenceEngine.try_jump_saturated`), bounded
-            so every cross-replica observation point (arrival routing,
-            autoscale decisions, warm-up completions, defer retries, and —
-            for closed-loop clients — any other replica's steps) sees
+            into macro-steps (see :meth:`InferenceEngine.try_jump`, which
+            covers non-empty waiting queues too), bounded so every
+            cross-replica observation point (arrival routing, autoscale
+            decisions, warm-up completions, defer retries, and — for
+            closed-loop clients — any other replica's steps) sees
             bit-identical state; ``False`` forces the reference
             one-iteration loop for bisection.
         throttle: optional overload rate limiter applied before routing
@@ -406,7 +399,6 @@ class ClusterSimulator:
         chunked_prefill_tokens: int | None = None,
         token_capacity_override: int | None = None,
         capacity_scale: float | None = None,
-        reject_when_saturated: bool = False,
         platforms: Sequence[Platform] | None = None,
         autoscaler: Autoscaler | None = None,
         limits: SimulationLimits | None = None,
@@ -443,12 +435,6 @@ class ClusterSimulator:
         #: first platform of the cycle; the homogeneous fleet's platform.
         self.platform = self.platforms[0]
         self.router = create_router(router) if isinstance(router, str) else router
-        # Rejection is a router admission policy in the decision API; the
-        # constructor knob is kept as a convenience and applies the same
-        # check at the cluster level (before the router is consulted, as in
-        # PR 1) rather than mutating a caller-supplied — possibly shared —
-        # router instance.
-        self._force_reject_when_saturated = reject_when_saturated
         self.throttle = throttle
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._tracing = self.tracer.enabled
@@ -502,22 +488,6 @@ class ClusterSimulator:
         self._retry_attempts: dict[str, int] = {}
 
     # ------------------------------------------------------------------ state
-    @property
-    def reject_when_saturated(self) -> bool:
-        """Whether arrivals into a fully saturated fleet are rejected.
-
-        True when either the constructor convenience knob or the router's
-        own admission policy (see :class:`~repro.serving.routing.Router`)
-        arms rejection.  Settable, as in PR 1 — assignment toggles the
-        cluster-level knob and leaves the router untouched.
-        """
-        return self._force_reject_when_saturated or self.router.reject_when_saturated
-
-    @reject_when_saturated.setter
-    def reject_when_saturated(self, value: bool) -> None:
-        """Toggle the cluster-level knob (the router's own policy is untouched)."""
-        self._force_reject_when_saturated = value
-
     @property
     def num_replicas(self) -> int:
         """Number of engines ever launched (including retired ones)."""
@@ -852,16 +822,7 @@ class ClusterSimulator:
                 # retry_at == time: the RETRY event fires at this same
                 # instant, right after any arrival, so migrated work re-routes
                 # with zero added latency and no retry-attempt charge.
-                heapq.heappush(
-                    self._deferred_heap,
-                    _DeferredArrival(
-                        retry_at=time,
-                        sequence=self._defer_sequence,
-                        spec=request.spec,
-                        arrived_at=request.arrival_time,
-                    ),
-                )
-                self._defer_sequence += 1
+                self._park(request.spec, request.arrival_time, time)
         self._record_fleet_sample(time)
         if self._tracing:
             self.tracer.emit(
@@ -962,6 +923,16 @@ class ClusterSimulator:
                     attrs={"attempt": attempt + 1, "retry_at": retry_at, "cause": cause},
                 )
             )
+        self._park(spec, arrived_at, retry_at)
+
+    # ---------------------------------------------------------------- routing
+    def _park(self, spec: RequestSpec, arrived_at: float, retry_at: float) -> None:
+        """Hold ``spec`` on the retry heap until ``retry_at``.
+
+        The one retry queue: router defers, fault retries, migrations and
+        waits for warming capacity all park here, and the RETRY event
+        re-places each one at its ``retry_at`` (FIFO among equal times).
+        """
         heapq.heappush(
             self._deferred_heap,
             _DeferredArrival(
@@ -973,7 +944,6 @@ class ClusterSimulator:
         )
         self._defer_sequence += 1
 
-    # ---------------------------------------------------------------- routing
     def _reject_spec(
         self,
         spec: RequestSpec,
@@ -1013,44 +983,6 @@ class ClusterSimulator:
             self._immediate_releases += 1
         else:
             self._deferred_releases += 1
-
-    def _defer_until_ready(self, spec: RequestSpec, arrived_at: float, warming: list[_Replica]) -> None:
-        """Retry an arrival when the first of ``warming`` becomes routable.
-
-        Warm-up completions outrank arrivals and retries at equal times, so
-        a warming replica seen here always has ``ready_at`` strictly in the
-        future.
-        """
-        heapq.heappush(
-            self._deferred_heap,
-            _DeferredArrival(
-                retry_at=min(r.ready_at for r in warming),
-                sequence=self._defer_sequence,
-                spec=spec,
-                arrived_at=arrived_at,
-            ),
-        )
-        self._defer_sequence += 1
-
-    def _route_arrival(
-        self,
-        spec: RequestSpec,
-        now: float,
-        arrived_at: float | None = None,
-        first_attempt: bool = True,
-    ) -> None:
-        """Admit ``spec`` (first attempt only), then place it.
-
-        ``arrived_at`` pins the request's arrival timestamp across defer
-        retries (latency accounting always starts at the original arrival);
-        retries skip admission — the request was admitted (and recorded in
-        its tenant's throttle window) on first attempt.
-        """
-        if arrived_at is None:
-            arrived_at = spec.arrival_time if spec.arrival_time is not None else now
-        if first_attempt and not self._admit(spec, now, arrived_at):
-            return
-        self._place(spec, now, arrived_at, first_attempt)
 
     def _admit(self, spec: RequestSpec, now: float, arrived_at: float) -> bool:
         """Record a fresh arrival's submission and apply the throttle.
@@ -1123,7 +1055,9 @@ class ClusterSimulator:
             # any is coming, otherwise reject with a typed reason.
             warming = [r for r in self.replicas if r.state is ReplicaState.WARMING]
             if warming:
-                self._defer_until_ready(spec, arrived_at, warming)
+                # Warm-ups outrank arrivals and retries at equal times, so
+                # every warming replica seen here is ready strictly later.
+                self._park(spec, arrived_at, min(r.ready_at for r in warming))
                 return
             self._reject_spec(spec, now, arrived_at, REASON_NO_REPLICAS)
             return
@@ -1139,7 +1073,7 @@ class ClusterSimulator:
                 if r.state is ReplicaState.WARMING and need <= r.engine.pool.token_capacity
             ]
             if warming:
-                self._defer_until_ready(spec, arrived_at, warming)
+                self._park(spec, arrived_at, min(r.ready_at for r in warming))
                 return
             # Otherwise reject it.  The verdict depends on the spec and on
             # the fleet's pool sizes, not on any replica's load, so no step
@@ -1158,13 +1092,7 @@ class ClusterSimulator:
         if first_attempt and self.autoscaler is not None and views:
             saturated = sum(1 for v in views if v.saturated) / len(views)
             self.autoscaler.note_arrival(now, saturated, spec.prompt_tokens)
-        if self._force_reject_when_saturated and views and all(v.saturated for v in views):
-            # Cluster-level convenience knob: reject before consulting the
-            # router, exactly as PR 1 did (placement state such as the
-            # round-robin cursor is untouched by rejected arrivals).
-            decision = RoutingDecision.reject(REASON_SATURATED)
-        else:
-            decision = self.router.decide(spec, views, now)
+        decision = self.router.decide(spec, views, now)
         if decision.is_reject:
             self._reject_spec(
                 spec, now, arrived_at, decision.reason or "unspecified", candidates=len(views)
@@ -1188,16 +1116,7 @@ class ClusterSimulator:
                         attrs={"retry_at": decision.retry_at, "candidates": len(views)},
                     )
                 )
-            heapq.heappush(
-                self._deferred_heap,
-                _DeferredArrival(
-                    retry_at=decision.retry_at,
-                    sequence=self._defer_sequence,
-                    spec=spec,
-                    arrived_at=arrived_at,
-                ),
-            )
-            self._defer_sequence += 1
+            self._park(spec, arrived_at, decision.retry_at)
             return
         assert decision.replica_id is not None
         replica = routable.get(decision.replica_id)
@@ -1314,17 +1233,17 @@ class ClusterSimulator:
                 continue
             if kind == ARRIVAL:
                 for spec in generator.pop_arrivals(time):
-                    self._route_arrival(spec, time)
-                while self._immediate_releases:
-                    self._immediate_releases -= 1
-                    generator.on_request_finished(time)
-                continue
-            if kind == RETRY:
+                    arrived_at = spec.arrival_time if spec.arrival_time is not None else time
+                    if self._admit(spec, time, arrived_at):
+                        self._place(spec, time, arrived_at, first_attempt=True)
+            elif kind == RETRY:
+                # Retries skip admission: the request was admitted (and
+                # recorded in its tenant's throttle window) on its first
+                # attempt, and keeps its original arrival timestamp.
                 while self._deferred_heap and self._deferred_heap[0].retry_at <= time:
                     deferred = heapq.heappop(self._deferred_heap)
-                    self._route_arrival(
-                        deferred.spec, time, arrived_at=deferred.arrived_at, first_attempt=False
-                    )
+                    self._place(deferred.spec, time, deferred.arrived_at, first_attempt=False)
+            if kind != STEP:
                 while self._immediate_releases:
                     self._immediate_releases -= 1
                     generator.on_request_finished(time)
@@ -1366,7 +1285,7 @@ class ClusterSimulator:
                 # nothing (the queue, like the batch, is replica-local state,
                 # so fused no-admit iterations commute the same way silent
                 # ones do).
-                jump = step_replica.engine.try_jump_any(
+                jump = step_replica.engine.try_jump(
                     step_replica.clock,
                     horizon=horizon,
                     max_steps=self.limits.max_steps - total_steps,

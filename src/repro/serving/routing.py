@@ -628,11 +628,11 @@ class MemoryAwareRouter(Router):
         """Sorted window and suffix sums, shared by one routing decision.
 
         Built once per :meth:`decide` call — the history cannot change
-        between the per-replica headroom evaluations of a single decision,
-        and re-sorting the window per replica would dominate the routing hot
-        path.
+        between the per-replica headroom evaluations of a single decision.
+        The sorted window is the history's own cached sort, redone only
+        after a completion was recorded.
         """
-        lengths = np.sort(self.history.snapshot())
+        lengths = self.history.sorted_snapshot()
         suffix_sums = np.concatenate([np.cumsum(lengths[::-1])[::-1], [0]])
         return lengths, suffix_sums
 
@@ -855,12 +855,6 @@ class SessionAffinityRouter(MemoryAwareRouter):
             )
         self._homes[spec.session_id] = chosen
         return RoutingDecision.route(chosen)
-
-    def describe(self) -> str:
-        """One-line parameterised description used in result tables."""
-        suffix = self._policy_suffix()
-        extra = f", {suffix}" if suffix else ""
-        return f"{self.name} (window={self.history.window_size}{extra})"
 
 
 RouterFactory = Callable[..., Router]

@@ -56,9 +56,9 @@ class ServingSimulator:
 
     With ``fast_path`` (the default) the loop asks the engine to fuse
     provably event-free decode iterations into vectorized macro-steps,
-    bounded by the next scheduled arrival — including saturated phases,
-    where the admission scheduler itself proves its next decisions admit
-    nothing (:meth:`InferenceEngine.try_jump_saturated`);
+    bounded by the next scheduled arrival (:meth:`InferenceEngine.try_jump`)
+    — including saturated phases, where the admission scheduler itself
+    proves its next decisions admit nothing;
     ``fast_path=False`` forces the reference one-iteration-at-a-time loop.
     Results are bit-identical, so the flag is purely a bisection escape
     hatch.

@@ -17,6 +17,7 @@ from repro.analysis.cluster_sweep import (
 )
 from repro.analysis.tables import render_table
 from repro.serving.results import ClusterResult
+from repro.serving.routing import create_router
 from repro.serving.sla import SLASpec
 from repro.workloads.arrivals import assign_poisson_arrivals
 from tests.conftest import make_workload
@@ -49,12 +50,11 @@ class TestClusterExperimentConfig:
             block_size=4,
             chunked_prefill_tokens=256,
             token_capacity_override=1024,
-            reject_when_saturated=True,
         )
-        simulator = config.build_simulator("least-kv-load")
+        simulator = config.build_simulator(create_router("least-kv-load", reject_when_saturated=True))
         assert simulator.num_replicas == 3
         assert simulator.router.name == "least-kv-load"
-        assert simulator.reject_when_saturated is True
+        assert simulator.router.reject_when_saturated is True
         for replica in simulator.replicas:
             assert replica.engine.token_capacity == 1024
             assert replica.engine.chunked_prefill_tokens == 256

@@ -82,6 +82,16 @@ class TestAllocation:
         assert pool.tokens_of("a") == 7
         assert pool.tokens_of("b") == 0
 
+    def test_paged_pool_avoids_external_fragmentation(self):
+        """Freed non-adjacent gaps together serve a request larger than any
+        one of them: a paged pool has no external fragmentation."""
+        pool = BlockKVCachePool(100, block_size=1)
+        for index in range(4):
+            pool.allocate(f"r{index}", 25)
+        pool.free("r0")
+        pool.free("r2")
+        assert pool.can_allocate(40)
+
 
 class TestAppendToken:
     def test_append_fills_partial_block_without_new_block(self):

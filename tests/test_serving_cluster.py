@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from repro.analysis.perf import run_snapshot
+from repro.analysis.perf import cluster_fingerprint, run_snapshot
 from repro.hardware.platform import paper_platforms
 from repro.schedulers.registry import create_scheduler
 from repro.serving.cluster import ClusterSimulator
@@ -18,12 +18,14 @@ from repro.serving.routing import (
     ReplicaView,
     Router,
     RoutingDecision,
+    create_router,
 )
 from repro.serving.server import ServingSimulator
 from repro.serving.sla import SLASpec
 from repro.serving.throttle import OverloadThrottle
 from repro.workloads.arrivals import assign_bursty_arrivals
 from repro.workloads.interactions import generate_interactions
+from repro.workloads.sharegpt import generate_sharegpt_workload
 from repro.workloads.spec import RequestSpec, Workload
 from repro.workloads.tenants import assign_tenants, generate_tenant_population
 from tests.conftest import make_workload
@@ -47,6 +49,11 @@ def make_cluster(
         token_capacity_override=capacity,
         **kwargs,
     )
+
+
+def rejecting_router(name: str = "round-robin") -> Router:
+    """A router that turns arrivals away while every replica is saturated."""
+    return create_router(name, reject_when_saturated=True)
 
 
 def stamped_workload(num_requests: int = 24, prompt: int = 48, output: int = 4) -> Workload:
@@ -164,7 +171,7 @@ class TestConservation:
         # Capacity 64 and 48-token prompts: one admitted plus one queued
         # request saturates a replica, so most of a 24-request instant burst
         # must be rejected — and every request is still accounted for.
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert result.routed_requests + len(result.rejected) == result.submitted_requests == 24
@@ -174,7 +181,7 @@ class TestConservation:
         assert summary.rejected_requests == len(result.rejected)
 
     def test_closed_loop_rejection_does_not_deadlock(self, platform_7b):
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_closed_loop(
             make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
             num_clients=16,
@@ -187,7 +194,7 @@ class TestConservation:
 
     def test_closed_loop_rejection_off_at_feasible_load(self, platform_7b):
         # The same fleet serves everything once concurrency fits capacity.
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_closed_loop(
             make_workload(num_requests=32, input_length=48, output_length=4, max_new_tokens=8),
             num_clients=4,
@@ -230,7 +237,7 @@ class TestFleetAggregates:
 
 class TestRejectDeferBookkeeping:
     def test_reject_reasons_counted(self, platform_7b):
-        cluster = make_cluster(platform_7b, capacity=64, reject_when_saturated=True)
+        cluster = make_cluster(platform_7b, router=rejecting_router(), capacity=64)
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert sum(result.reject_reasons.values()) == len(result.rejected)
@@ -273,31 +280,58 @@ class TestRejectDeferBookkeeping:
         with pytest.raises(RuntimeError, match="strictly later"):
             cluster.run_open_loop(stamped_workload(num_requests=1))
 
-    def test_cluster_knob_does_not_mutate_shared_router(self, platform_7b):
-        # The convenience knob is cluster-level: a caller-supplied router
-        # reused by a second simulator must not inherit the first one's
-        # admission policy.
-        from repro.serving.routing import LeastKVLoadRouter
-
-        router = LeastKVLoadRouter()
-        rejecting = make_cluster(
-            platform_7b, router=router, capacity=64, reject_when_saturated=True
-        )
-        assert rejecting.reject_when_saturated
-        assert not router.reject_when_saturated
-        assert rejecting.run_open_loop(stamped_workload()).rejected
-        queueing = make_cluster(platform_7b, router=LeastKVLoadRouter(), capacity=64)
-        assert not queueing.reject_when_saturated
-        assert not queueing.run_open_loop(stamped_workload()).rejected
-
     def test_router_level_rejection_without_cluster_knob(self, platform_7b):
-        # Rejection is a router policy now: arming the router directly works
-        # without the ClusterSimulator convenience flag.
+        # Rejection is a router policy: arming the simulator's router after
+        # construction takes effect, with no cluster-level flag involved.
         cluster = make_cluster(platform_7b, router="least-kv-load", capacity=64)
         cluster.router.reject_when_saturated = True
         result = cluster.run_open_loop(stamped_workload())
         assert result.rejected
         assert result.routed_requests + len(result.rejected) == 24
+
+
+class TestSaturationAdmissionDigests:
+    """Saturated ShareGPT fleets whose rejects come from the router alone.
+
+    The digests were recorded when ``ClusterSimulator`` still carried its
+    own ``reject_when_saturated`` check in front of the router; arming the
+    router instead must reproduce them bit for bit, under both loops.
+    Sizes are chosen so every run completes and rejects ``saturated``.
+    """
+
+    DIGESTS = {
+        ("round-robin", "open"): "4adfad7cfff6c74dc667506891a702864c988e8d45108ac545b3c53363c0811c",
+        ("round-robin", "closed"): "6ef06dc7447884daea66ef85a19c1b27b1a3ca4295c1b8eda9dcf09ce35de54e",
+        ("memory-aware", "open"): "52d98c3baa73a179ef6bf770e34e6db569eafdfae652591765fbd4d48ee7e744",
+        ("memory-aware", "closed"): "db5002416418bd8de858734e13e0c04bd07c968e6ddc458d9bc1aea4ce08f2d7",
+    }
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+    @pytest.mark.parametrize("router, loop", sorted(DIGESTS))
+    def test_router_admission_reproduces_recorded_digest(self, platform_7b, router, loop, fast_path):
+        cluster = ClusterSimulator(
+            platform=platform_7b,
+            num_replicas=4,
+            router=rejecting_router(router),
+            scheduler_name="aggressive",
+            token_capacity_override=platform_7b.token_capacity // 48,
+            fast_path=fast_path,
+        )
+        if loop == "open":
+            workload = assign_bursty_arrivals(
+                generate_sharegpt_workload(140, seed=3),
+                base_rate=0.2,
+                burst_rate=8.0,
+                burst_length=80,
+                cycle_length=100,
+                seed=4,
+            )
+            result = cluster.run_open_loop(workload)
+        else:
+            result = cluster.run_closed_loop(generate_sharegpt_workload(150, seed=5), num_clients=48)
+        assert result.completed
+        assert result.reject_reasons[REASON_SATURATED] > 0
+        assert cluster_fingerprint(result) == self.DIGESTS[(router, loop)]
 
 
 def with_oversized(workload: Workload, index: int, capacity: int) -> Workload:
